@@ -2,9 +2,12 @@ package detect
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"odin/internal/nn"
 	"odin/internal/synth"
+	"odin/internal/tensor"
 )
 
 // countTestImgs renders a deterministic image set; the detector is used
@@ -80,6 +83,47 @@ func TestCountBatchBoxAllocFree(t *testing.T) {
 	})
 	if detect <= perCall {
 		t.Fatalf("DetectBatch (%v allocs) should cost more than CountBatch (%v)", detect, perCall)
+	}
+}
+
+// TestDetectBatchAllocs pins DetectBatch to the allocations its
+// detections need: the network forward (blocked conv inference, pooled
+// workspaces, pre-bound fan-out tasks) adds none, at one worker or when
+// the fan-out really splits, on either backend. The reference is decode
+// alone over the same network outputs, plus the result slice.
+func TestDetectBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (sync.Pool reuse is randomised)")
+	}
+	scene := synth.DefaultSceneConfig()
+	imgs := countTestImgs(16)
+	prev := tensor.Parallelism()
+	defer tensor.SetParallelism(prev)
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		cfg := YOLOConfig(scene.H, scene.W)
+		cfg.DType = dt
+		g := NewGridDetector(cfg)
+		batch := loadRows(dt, len(imgs), imgs[0].Dim(), func(i int) []float64 { return imgs[i].Flat() })
+		out := g.Net.Predict(batch)
+		rows := make([][]float64, len(imgs))
+		for i := range rows {
+			rows[i] = append([]float64(nil), out.Row64(i, nil)...)
+		}
+		nn.Recycle(batch, out)
+		decode := testing.AllocsPerRun(20, func() {
+			for _, row := range rows {
+				g.decode(row)
+			}
+		})
+		for _, workers := range []int{1, 2, 4} {
+			tensor.SetParallelism(workers)
+			g.DetectBatch(imgs) // warm the pools
+			runtime.GC()
+			got := testing.AllocsPerRun(20, func() { g.DetectBatch(imgs) })
+			if got > decode+1 {
+				t.Errorf("%v workers=%d: DetectBatch allocates %v per call, decoding alone %v", dt, workers, got, decode)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -110,11 +111,59 @@ func TestInferencePredictAllocs(t *testing.T) {
 	}
 	step() // warm the pool
 	avg := testing.AllocsPerRun(20, func() { step() })
-	// The only residue is the parallel-loop closure headers (a few dozen
-	// bytes); every matrix comes from the pool.
+	// Every matrix comes from the pool and the conv fan-out runs through a
+	// pre-bound task (see TestConvInferenceAllocFree for the exact pin).
 	if avg > 8 {
 		t.Fatalf("inference pass allocates %.0f/op, want pooled reuse (≤8)", avg)
 	}
+}
+
+// TestConvInferenceAllocFree pins blocked conv inference: the fan-out over
+// sample blocks runs through a pre-bound task, and the block scratch and
+// the output come from the workspace pool, so once warm a conv (alone, or
+// fused with its activation) allocates nothing at all — at one worker and
+// when the fan-out really splits. Shapes are the steady serving workload's
+// first layer over a 64-frame window.
+func TestConvInferenceAllocFree(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	conv := NewConv2D(3, 27, 48, 10, 3, 2, 1, rng)
+	net := NewNetwork("fused", conv, NewLeakyReLU(0.1))
+	prev := tensor.Parallelism()
+	defer tensor.SetParallelism(prev)
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		x64 := tensor.New(64, conv.InSize())
+		rng.FillNormal(x64, 1)
+		x := tensor.NewOf(dt, x64.R, x64.C)
+		tensor.ConvertInto(x, x64)
+		for _, workers := range []int{1, 2, 4} {
+			tensor.SetParallelism(workers)
+			warmConvScratch(conv, dt, x.R, workers)
+			for name, step := range map[string]func(){
+				"conv":       func() { Recycle(conv.Forward(x, false)) },
+				"conv+leaky": func() { Recycle(net.Predict(x)) },
+			} {
+				step()
+				runtime.GC()
+				if avg := testing.AllocsPerRun(20, step); avg > 0 {
+					t.Errorf("%v workers=%d %s: inference allocates %v/op, want 0", dt, workers, name, avg)
+				}
+			}
+		}
+	}
+}
+
+// warmConvScratch stocks the workspace pool with the worst case of block
+// scratch a blocked conv inference over r samples can hold at once: one
+// patch/output pair per executor. A warm-up pass alone stocks only as many
+// pairs as executors happened to overlap, so a measured pass in which one
+// more overlaps would allocate.
+func warmConvScratch(c *Conv2D, dt tensor.DType, r, workers int) {
+	w := c.inferBlock(r, dt.Size()) * c.OutH * c.OutW // block width
+	held := make([]*tensor.Mat, 0, 2*workers)
+	for i := 0; i < workers; i++ {
+		held = append(held, ws.GetRawOf(dt, c.patchRows(), w), ws.GetRawOf(dt, c.OutC, w))
+	}
+	ws.Put(held...)
 }
 
 // TestPredictConcurrentConsistency runs inference on a shared network from

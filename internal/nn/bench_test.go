@@ -73,3 +73,25 @@ func BenchmarkDenseBackward(b *testing.B) {
 		Recycle(layer.Backward(grad))
 	}
 }
+
+// BenchmarkConv2DInference runs the blocked inference path at the serving
+// benchmark's steady shapes: the specialized detector's first layer
+// (3→10 channels, 3×3, stride 2, pad 1) over a 64-frame window of 27×48
+// frames, on both backends.
+func BenchmarkConv2DInference(b *testing.B) {
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		b.Run(dt.String(), func(b *testing.B) {
+			rng := tensor.NewRNG(1)
+			layer := NewConv2D(3, 27, 48, 10, 3, 2, 1, rng)
+			x64 := tensor.New(64, layer.InSize())
+			rng.FillNormal(x64, 1)
+			x := tensor.NewOf(dt, x64.R, x64.C)
+			tensor.ConvertInto(x, x64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Recycle(layer.Forward(x, false))
+			}
+		})
+	}
+}

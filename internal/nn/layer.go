@@ -90,55 +90,67 @@ func NewNetwork(name string, layers ...Layer) *Network {
 	return &Network{Name: name, Layers: layers}
 }
 
-// inferenceEpilogue returns an in-place transform for activation layers
-// that can fuse onto a preceding Dense at inference time, where no backward
-// caches are needed; nil when the layer cannot fuse. The transform operates
-// on whichever storage the matrix carries, so fusion works identically on
-// both backends.
-func inferenceEpilogue(l Layer) func(*tensor.Mat) {
+// epilogue is an activation fused onto the output of the preceding Dense
+// or Conv2D at inference time, where no backward caches are needed. It is
+// a value, not a closure, so the fused path allocates nothing, and it
+// applies the activation's own element-wise transform, so fused and
+// unfused inference give identical bits on both backends.
+type epilogue struct {
+	act   actKind
+	alpha float64 // LeakyReLU slope
+}
+
+type actKind uint8
+
+const (
+	actNone actKind = iota
+	actReLU
+	actLeakyReLU
+	actSigmoid
+	actTanh
+)
+
+// inferenceEpilogue returns the epilogue for an activation layer that can
+// fuse onto a preceding Dense or Conv2D; false when l cannot fuse.
+func inferenceEpilogue(l Layer) (epilogue, bool) {
 	switch a := l.(type) {
 	case *ReLU:
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				reluInto(m.V32, m.V32)
-			} else {
-				reluInto(m.V, m.V)
-			}
-		}
+		return epilogue{act: actReLU}, true
 	case *LeakyReLU:
-		alpha := a.Alpha
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				leakyReLUInto(m.V32, m.V32, float32(alpha))
-			} else {
-				leakyReLUInto(m.V, m.V, alpha)
-			}
-		}
+		return epilogue{act: actLeakyReLU, alpha: a.Alpha}, true
 	case *Sigmoid:
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				sigmoidInto(m.V32, m.V32)
-			} else {
-				sigmoidInto(m.V, m.V)
-			}
-		}
+		return epilogue{act: actSigmoid}, true
 	case *Tanh:
-		return func(m *tensor.Mat) {
-			if m.V32 != nil {
-				tanhInto(m.V32, m.V32)
-			} else {
-				tanhInto(m.V, m.V)
-			}
-		}
+		return epilogue{act: actTanh}, true
 	}
-	return nil
+	return epilogue{}, false
+}
+
+// applyEpilogue transforms v in place.
+func applyEpilogue[T float](e epilogue, v []T) {
+	switch e.act {
+	case actReLU:
+		reluInto(v, v)
+	case actLeakyReLU:
+		leakyReLUInto(v, v, T(e.alpha))
+	case actSigmoid:
+		sigmoidInto(v, v)
+	case actTanh:
+		tanhInto(v, v)
+	}
+}
+
+// fusedLayer is a layer with an inference path that applies a following
+// activation while its output is still in cache.
+type fusedLayer interface {
+	forwardFused(x *tensor.Mat, e epilogue) *tensor.Mat
 }
 
 // Forward runs the batch through every layer in order. A training pass
 // records each intermediate so Backward can recycle it; an inference pass
-// fuses Dense+activation pairs and recycles each intermediate as soon as
-// the next layer has consumed it, since no layer keeps caches when
-// train is false.
+// fuses Dense+activation and Conv2D+activation pairs and recycles each
+// intermediate as soon as the next layer has consumed it, since no layer
+// keeps caches when train is false.
 func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		n.fwdIn = x
@@ -152,9 +164,9 @@ func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	cur := x
 	for i := 0; i < len(n.Layers); {
 		var next *tensor.Mat
-		if d, ok := n.Layers[i].(*Dense); ok && i+1 < len(n.Layers) {
-			if act := inferenceEpilogue(n.Layers[i+1]); act != nil {
-				next = d.forwardFused(cur, act)
+		if f, ok := n.Layers[i].(fusedLayer); ok && i+1 < len(n.Layers) {
+			if e, ok := inferenceEpilogue(n.Layers[i+1]); ok {
+				next = f.forwardFused(cur, e)
 				i += 2
 			}
 		}

@@ -92,15 +92,9 @@ type backend64 struct{}
 func (backend64) Name() string { return "float64" }
 func (backend64) DType() DType { return F64 }
 
-func (backend64) MatMulBias(dst, a, b, bias *Mat) {
-	if bias == nil {
-		matmulBias(dst, a, b, nil)
-		return
-	}
-	matmulBias(dst, a, b, bias.V)
-}
-func (backend64) MatMulAT(dst, a, b *Mat) { matmulAT(dst, a, b) }
-func (backend64) MatMulBT(dst, a, b *Mat) { matmulBT(dst, a, b) }
+func (backend64) MatMulBias(dst, a, b, bias *Mat) { matmulBias(dst, a, b, bias) }
+func (backend64) MatMulAT(dst, a, b *Mat)         { matmulAT(dst, a, b) }
+func (backend64) MatMulBT(dst, a, b *Mat)         { matmulBT(dst, a, b) }
 
 func (backend64) Axpy(s float64, src, dst *Mat) { addScaledSlices(dst.V, s, src.V) }
 func (backend64) Dot(a, b *Mat) float64         { return Dot(a.V, b.V) }
@@ -125,15 +119,9 @@ type backend32 struct{}
 func (backend32) Name() string { return "float32" }
 func (backend32) DType() DType { return F32 }
 
-func (backend32) MatMulBias(dst, a, b, bias *Mat) {
-	if bias == nil {
-		matmulBias32(dst, a, b, nil)
-		return
-	}
-	matmulBias32(dst, a, b, bias.V32)
-}
-func (backend32) MatMulAT(dst, a, b *Mat) { matmulAT32(dst, a, b) }
-func (backend32) MatMulBT(dst, a, b *Mat) { matmulBT32(dst, a, b) }
+func (backend32) MatMulBias(dst, a, b, bias *Mat) { matmulBias32(dst, a, b, bias) }
+func (backend32) MatMulAT(dst, a, b *Mat)         { matmulAT32(dst, a, b) }
+func (backend32) MatMulBT(dst, a, b *Mat)         { matmulBT32(dst, a, b) }
 
 func (backend32) Axpy(s float64, src, dst *Mat) {
 	addScaledSlices(dst.V32, float32(s), src.V32)

@@ -281,3 +281,90 @@ func TestKernelDTypeMismatch(t *testing.T) {
 	}()
 	MatMulInto(New(2, 2), NewOf(F32, 2, 3), NewOf(F32, 3, 2))
 }
+
+// orderRef is the plain loop the matmulBias kernels must reproduce bit for
+// bit: every element starts from its bias (or zero), then adds k in
+// ascending order, four at a time from each mmKBlock start and singly in
+// the block's tail, skipping all-zero groups and zero singles of a, with
+// one rounding per add.
+func orderRef[T float32 | float64](av, bv, bias []T, m, kk, n int) []T {
+	dst := make([]T, m*n)
+	for i := 0; i < m; i++ {
+		drow := dst[i*n : i*n+n]
+		if bias != nil {
+			copy(drow, bias)
+		}
+		arow := av[i*kk : i*kk+kk]
+		for k0 := 0; k0 < kk; k0 += mmKBlock {
+			k1 := min(k0+mmKBlock, kk)
+			k := k0
+			for ; k+3 < k1; k += 4 {
+				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue
+				}
+				for j, d := range drow {
+					drow[j] = d + a0*bv[k*n+j] + a1*bv[(k+1)*n+j] + a2*bv[(k+2)*n+j] + a3*bv[(k+3)*n+j]
+				}
+			}
+			for ; k < k1; k++ {
+				if a := arow[k]; a != 0 {
+					for j := range drow {
+						drow[j] += a * bv[k*n+j]
+					}
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// TestMatMulMatchesOrderReference pins the matmulBias kernels, pooled and
+// serial, to the reference accumulation order bit for bit — the order the
+// blocked conv inference path relies on to match training — on wide
+// products, at k-depths below and across the k-block, with all-zero groups
+// and zero singles in a that must be skipped exactly as before.
+func TestMatMulMatchesOrderReference(t *testing.T) {
+	prev := Parallelism()
+	defer SetParallelism(prev)
+	for _, bk := range Backends() {
+		dt := bk.DType()
+		for _, s := range []struct{ m, k, n int }{{5, 27, 1500}, {3, mmKBlock + 45, 700}, {7, 14, 4099}} {
+			a := randMatOf(dt, s.m, s.k, 1)
+			b := randMatOf(dt, s.k, s.n, 2)
+			bias := randMatOf(dt, 1, s.n, 3)
+			for i := 0; i < s.m; i += 2 { // zero group at k 4..7, zero single at the tail
+				a.Set(i, 4, 0)
+				a.Set(i, 5, 0)
+				a.Set(i, 6, 0)
+				a.Set(i, 7, 0)
+				a.Set(i, s.k-1, 0)
+			}
+			var want, wantBias *Mat
+			if dt == F32 {
+				want = FromSlice32(s.m, s.n, orderRef(a.V32, b.V32, nil, s.m, s.k, s.n))
+				wantBias = FromSlice32(s.m, s.n, orderRef(a.V32, b.V32, bias.V32, s.m, s.k, s.n))
+			} else {
+				want = FromSlice(s.m, s.n, orderRef(a.V, b.V, nil, s.m, s.k, s.n))
+				wantBias = FromSlice(s.m, s.n, orderRef(a.V, b.V, bias.V, s.m, s.k, s.n))
+			}
+			for _, workers := range []int{1, 3} {
+				SetParallelism(workers)
+				name := fmt.Sprintf("%s/%dx%dx%d/workers=%d", bk.Name(), s.m, s.k, s.n, workers)
+				got := NewOf(dt, s.m, s.n)
+				MatMulInto(got, a, b)
+				if !bitsEqual(got, want) {
+					t.Errorf("%s: MatMulInto differs from the reference order", name)
+				}
+				MatMulSerialInto(got, a, b)
+				if !bitsEqual(got, want) {
+					t.Errorf("%s: MatMulSerialInto differs from the reference order", name)
+				}
+				MatMulBiasInto(got, a, b, bias)
+				if !bitsEqual(got, wantBias) {
+					t.Errorf("%s: MatMulBiasInto differs from the reference order", name)
+				}
+			}
+		}
+	}
+}

@@ -14,21 +14,6 @@ package tensor
 // — so results are bit-identical across worker counts, and across the
 // vectorized and scalar code paths.
 
-// mmInitRows32 seeds dst rows [i0,i1) with bias (or zero).
-func mmInitRows32(dst *Mat, i0, i1 int, bias []float32) {
-	n := dst.C
-	for i := i0; i < i1; i++ {
-		drow := dst.V32[i*n : i*n+n]
-		if bias == nil {
-			for j := range drow {
-				drow[j] = 0
-			}
-		} else {
-			copy(drow, bias)
-		}
-	}
-}
-
 // mmRowGroup32 applies one k-group of four a-coefficients to a dst row:
 // drow[j] = (((drow[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j].
 func mmRowGroup32(drow []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
@@ -56,40 +41,33 @@ func mmRowSingle32(drow []float32, av float32, brow []float32) {
 	}
 }
 
-// mmRowTail32 applies the k-remainder (fewer than four coefficients) of a
-// block to a single dst row, one k at a time in ascending order.
-func mmRowTail32(drow, arow []float32, b *Mat, k, k1 int) {
-	n := b.C
-	for ; k < k1; k++ {
-		av := arow[k]
-		if av == 0 {
-			continue
-		}
-		mmRowSingle32(drow, av, b.V32[k*n:k*n+n])
-	}
-}
+var matmulBias32Tasks = Tasks[mmArgs]{Fn: func(m *mmArgs, i0, i1 int) {
+	matmulBias32Range(m.dst, m.a, m.b, m.bias, i0, i1)
+}}
 
 // matmulBias32 computes dst = a×b (+ bias) over float32 storage.
-func matmulBias32(dst, a, b *Mat, bias []float32) {
+func matmulBias32(dst, a, b, bias *Mat) {
 	work := 2 * a.R * a.C * b.C
 	if runsInline(a.R, work) {
 		matmulBias32Range(dst, a, b, bias, 0, a.R)
 		return
 	}
-	Parallel(a.R, work, func(i0, i1 int) {
-		matmulBias32Range(dst, a, b, bias, i0, i1)
-	})
+	matmulBias32Tasks.Parallel(a.R, work, mmArgs{dst, a, b, bias})
 }
 
 // matmulBias32Range applies the kernel to dst rows [i0, i1).
-func matmulBias32Range(dst, a, b *Mat, bias []float32, i0, i1 int) {
+func matmulBias32Range(dst, a, b, bias *Mat, i0, i1 int) {
 	kk, n := a.C, b.C
-	mmInitRows32(dst, i0, i1, bias)
-	for k0 := 0; k0 < kk; k0 += mmKBlock {
-		k1 := k0 + mmKBlock
-		if k1 > kk {
-			k1 = kk
+	for i := i0; i < i1; i++ {
+		drow := dst.V32[i*n : i*n+n]
+		if bias == nil {
+			clear(drow)
+		} else {
+			copy(drow, bias.V32)
 		}
+	}
+	for k0 := 0; k0 < kk; k0 += mmKBlock {
+		k1 := min(k0+mmKBlock, kk)
 		kEnd := k0 + (k1-k0)&^3 // last full group of four in this block
 		for i := i0; i < i1; i++ {
 			arow := a.V32[i*kk : i*kk+kk]
@@ -106,10 +84,18 @@ func matmulBias32Range(dst, a, b *Mat, bias []float32, i0, i1 int) {
 					b.V32[k*n:k*n+n], b.V32[(k+1)*n:(k+1)*n+n],
 					b.V32[(k+2)*n:(k+2)*n+n], b.V32[(k+3)*n:(k+3)*n+n])
 			}
-			mmRowTail32(drow, arow, b, kEnd, k1)
+			for k := kEnd; k < k1; k++ {
+				if av := arow[k]; av != 0 {
+					mmRowSingle32(drow, av, b.V32[k*n:k*n+n])
+				}
+			}
 		}
 	}
 }
+
+var matmulAT32Tasks = Tasks[mmArgs]{Fn: func(m *mmArgs, i0, i1 int) {
+	matmulAT32Range(m.dst, m.a, m.b, i0, i1)
+}}
 
 // matmulAT32 computes dst = aᵀ×b over float32 storage. Structure mirrors
 // the float64 matmulAT: the a-coefficients are strided column loads, the
@@ -121,9 +107,7 @@ func matmulAT32(dst, a, b *Mat) {
 		matmulAT32Range(dst, a, b, 0, m)
 		return
 	}
-	Parallel(m, work, func(i0, i1 int) {
-		matmulAT32Range(dst, a, b, i0, i1)
-	})
+	matmulAT32Tasks.Parallel(m, work, mmArgs{dst: dst, a: a, b: b})
 }
 
 // matmulAT32Range applies the aᵀ×b kernel to dst rows [i0, i1).
@@ -167,6 +151,10 @@ func matmulAT32Range(dst, a, b *Mat, i0, i1 int) {
 	}
 }
 
+var matmulBT32Tasks = Tasks[mmArgs]{Fn: func(m *mmArgs, i0, i1 int) {
+	matmulBT32Range(m.dst, m.a, m.b, i0, i1)
+}}
+
 // matmulBT32 computes dst = a×bᵀ over float32 storage with the same 2×2
 // register tile as the float64 kernel: two a rows against two b rows share
 // every operand load across four independent accumulation chains. The dot
@@ -178,9 +166,7 @@ func matmulBT32(dst, a, b *Mat) {
 		matmulBT32Range(dst, a, b, 0, a.R)
 		return
 	}
-	Parallel(a.R, work, func(i0, i1 int) {
-		matmulBT32Range(dst, a, b, i0, i1)
-	})
+	matmulBT32Tasks.Parallel(a.R, work, mmArgs{dst: dst, a: a, b: b})
 }
 
 // matmulBT32Range applies the a×bᵀ kernel to dst rows [i0, i1).

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -230,4 +231,75 @@ func TestPoolRecyclesExactShapes(t *testing.T) {
 	}
 	// nil and empty puts are ignored.
 	p.Put(nil, New(0, 0))
+}
+
+// TestTasksFanOutAllocFree pins the fix for closure-based fan-out: a
+// Tasks value copies its operands into a recycled task whose job header is
+// recycled with it, so once the free list is warm a fan-out that really
+// splits across the pool allocates nothing — nor does the float64 or
+// float32 matmul that rides on it.
+func TestTasksFanOutAllocFree(t *testing.T) {
+	var hits [64]atomic.Int64
+	tasks := Tasks[*[64]atomic.Int64]{Fn: func(h **[64]atomic.Int64, start, end int) {
+		for i := start; i < end; i++ {
+			(*h)[i].Add(1)
+		}
+	}}
+	calls := map[string]func(){
+		"tasks": func() { tasks.Parallel(len(hits), 1<<20, &hits) },
+	}
+	for _, bk := range Backends() {
+		a := randMatOf(bk.DType(), 64, 96, 1)
+		b := randMatOf(bk.DType(), 96, 128, 2)
+		dst := NewOf(bk.DType(), 64, 128)
+		calls[bk.Name()+" matmul"] = func() { MatMulInto(dst, a, b) }
+	}
+	for _, workers := range []int{2, 4} {
+		forceParallel(t, workers, func() {
+			for name, call := range calls {
+				call()
+				// Collect first, so a cycle's runtime bookkeeping does not
+				// land inside the measurement.
+				runtime.GC()
+				if allocs := testing.AllocsPerRun(100, call); allocs > 0 {
+					t.Errorf("workers=%d: %s fan-out allocates %v per call, want 0", workers, name, allocs)
+				}
+			}
+		})
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != hits[0].Load() {
+			t.Fatalf("index %d visited %d times, index 0 %d times", i, got, hits[0].Load())
+		}
+	}
+}
+
+// TestTasksRecycleUnderContention hammers recycled jobs from several
+// submitters at once, nested inside a fan-out, so stale queued copies of
+// one call race the next call's reuse of the same header; every call must
+// still cover its range exactly once.
+func TestTasksRecycleUnderContention(t *testing.T) {
+	type span struct{ hits []int64 }
+	tasks := Tasks[span]{Fn: func(s *span, start, end int) {
+		for i := start; i < end; i++ {
+			atomic.AddInt64(&s.hits[i], 1)
+		}
+	}}
+	forceParallel(t, 4, func() {
+		const calls, n = 64, 37
+		results := make([][]int64, calls)
+		Parallel(calls, 1<<20, func(c0, c1 int) {
+			for c := c0; c < c1; c++ {
+				results[c] = make([]int64, n)
+				tasks.Parallel(n, 1<<20, span{results[c]})
+			}
+		})
+		for c, hits := range results {
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("call %d: index %d visited %d times", c, i, h)
+				}
+			}
+		}
+	})
 }

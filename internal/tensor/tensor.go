@@ -218,69 +218,96 @@ func MatMulBiasInto(dst, a, b, bias *Mat) {
 	For(dt).MatMulBias(dst, a, b, bias)
 }
 
+// MatMulSerialInto computes dst = a×b like MatMulInto, but entirely on the
+// calling goroutine. Callers that already fan out over independent blocks
+// (Conv2D inference) use it inside each block; the per-element
+// accumulation order is the same as MatMulInto's, so both give identical
+// bits. All operands must share a dtype; dst must not alias a or b.
+func MatMulSerialInto(dst, a, b *Mat) {
+	if a.C != b.R || dst.R != a.R || dst.C != b.C {
+		panic("tensor: matmul-into shape mismatch")
+	}
+	dt := dst.DType()
+	mustSameDType(dt, a, b)
+	if dt == F32 {
+		matmulBias32Range(dst, a, b, nil, 0, a.R)
+		return
+	}
+	matmulBiasRange(dst, a, b, nil, 0, a.R)
+}
+
+// mmArgs binds a matmul kernel's operands for its Tasks; bias is nil for
+// a plain product.
+type mmArgs struct{ dst, a, b, bias *Mat }
+
+var matmulBiasTasks = Tasks[mmArgs]{Fn: func(m *mmArgs, i0, i1 int) {
+	matmulBiasRange(m.dst, m.a, m.b, m.bias, i0, i1)
+}}
+
 // matmulBias is the shared cache-blocked, 4-way k-unrolled kernel behind
 // MatMulInto and MatMulBiasInto. Each worker owns a contiguous block of dst
 // rows; the k dimension is tiled so the active panel of b stays in cache,
 // and four a-coefficients are applied per pass over a dst row to quarter
 // the dst load/store traffic of the naive saxpy loop.
-func matmulBias(dst, a, b *Mat, bias []float64) {
+func matmulBias(dst, a, b, bias *Mat) {
 	work := 2 * a.R * a.C * b.C
 	if runsInline(a.R, work) {
 		matmulBiasRange(dst, a, b, bias, 0, a.R)
 		return
 	}
-	Parallel(a.R, work, func(i0, i1 int) {
-		matmulBiasRange(dst, a, b, bias, i0, i1)
-	})
+	matmulBiasTasks.Parallel(a.R, work, mmArgs{dst, a, b, bias})
 }
 
 // matmulBiasRange applies the kernel to dst rows [i0, i1).
-func matmulBiasRange(dst, a, b *Mat, bias []float64, i0, i1 int) {
+func matmulBiasRange(dst, a, b, bias *Mat, i0, i1 int) {
 	kk, n := a.C, b.C
-	{
-		for i := i0; i < i1; i++ {
-			drow := dst.V[i*n : i*n+n]
-			if bias == nil {
-				for j := range drow {
-					drow[j] = 0
-				}
-			} else {
-				copy(drow, bias)
-			}
+	if n == 0 {
+		return // nothing to write; the bounds-check hints need n ≥ 1
+	}
+	for i := i0; i < i1; i++ {
+		drow := dst.V[i*n : i*n+n]
+		if bias == nil {
+			clear(drow)
+		} else {
+			copy(drow, bias.V)
 		}
-		for k0 := 0; k0 < kk; k0 += mmKBlock {
-			k1 := k0 + mmKBlock
-			if k1 > kk {
-				k1 = kk
-			}
-			for i := i0; i < i1; i++ {
-				arow := a.V[i*kk : i*kk+kk]
-				drow := dst.V[i*n : i*n+n]
-				k := k0
-				for ; k+3 < k1; k += 4 {
-					a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						// ReLU activations feed these kernels: whole-zero
-						// groups are common enough to be worth skipping.
-						continue
-					}
-					b0 := b.V[k*n : k*n+n]
-					b1 := b.V[(k+1)*n : (k+1)*n+n]
-					b2 := b.V[(k+2)*n : (k+2)*n+n]
-					b3 := b.V[(k+3)*n : (k+3)*n+n]
-					for j, d := range drow {
-						drow[j] = d + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
+	}
+	for k0 := 0; k0 < kk; k0 += mmKBlock {
+		k1 := min(k0+mmKBlock, kk)
+		for i := i0; i < i1; i++ {
+			arow := a.V[i*kk : i*kk+kk]
+			drow := dst.V[i*n : i*n+n]
+			k := k0
+			for ; k+3 < k1; k += 4 {
+				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					// ReLU activations feed these kernels: whole-zero
+					// groups are common enough to be worth skipping.
+					continue
 				}
-				for ; k < k1; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					brow := b.V[k*n : k*n+n]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
+				b0 := b.V[k*n : k*n+n]
+				b1 := b.V[(k+1)*n : (k+1)*n+n]
+				b2 := b.V[(k+2)*n : (k+2)*n+n]
+				b3 := b.V[(k+3)*n : (k+3)*n+n]
+				// Bounds-check hints: one check per row instead of four
+				// per element.
+				_ = b0[len(drow)-1]
+				_ = b1[len(drow)-1]
+				_ = b2[len(drow)-1]
+				_ = b3[len(drow)-1]
+				for j, d := range drow {
+					drow[j] = d + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				}
+			}
+			for ; k < k1; k++ {
+				av := arow[k]
+				if av == 0 {
+					continue
+				}
+				brow := b.V[k*n : k*n+n]
+				_ = brow[len(drow)-1]
+				for j := range drow {
+					drow[j] += av * brow[j]
 				}
 			}
 		}
@@ -298,6 +325,10 @@ func MatMulATInto(dst, a, b *Mat) {
 	For(dt).MatMulAT(dst, a, b)
 }
 
+var matmulATTasks = Tasks[mmArgs]{Fn: func(m *mmArgs, i0, i1 int) {
+	matmulATRange(m.dst, m.a, m.b, i0, i1)
+}}
+
 // matmulAT is the float64 aᵀ×b kernel: same cache blocking and k-unroll as
 // matmulBias, with strided column loads from a.
 func matmulAT(dst, a, b *Mat) {
@@ -307,9 +338,7 @@ func matmulAT(dst, a, b *Mat) {
 		matmulATRange(dst, a, b, 0, m)
 		return
 	}
-	Parallel(m, work, func(i0, i1 int) {
-		matmulATRange(dst, a, b, i0, i1)
-	})
+	matmulATTasks.Parallel(m, work, mmArgs{dst: dst, a: a, b: b})
 }
 
 // matmulATRange applies the aᵀ×b kernel to dst rows [i0, i1).
@@ -372,6 +401,10 @@ func MatMulBTInto(dst, a, b *Mat) {
 	For(dt).MatMulBT(dst, a, b)
 }
 
+var matmulBTTasks = Tasks[mmArgs]{Fn: func(m *mmArgs, i0, i1 int) {
+	matmulBTRange(m.dst, m.a, m.b, i0, i1)
+}}
+
 // matmulBT is the float64 a×bᵀ kernel with the 2×2 register tile.
 func matmulBT(dst, a, b *Mat) {
 	work := 2 * a.R * a.C * b.R
@@ -379,9 +412,7 @@ func matmulBT(dst, a, b *Mat) {
 		matmulBTRange(dst, a, b, 0, a.R)
 		return
 	}
-	Parallel(a.R, work, func(i0, i1 int) {
-		matmulBTRange(dst, a, b, i0, i1)
-	})
+	matmulBTTasks.Parallel(a.R, work, mmArgs{dst: dst, a: a, b: b})
 }
 
 // matmulBTRange applies the a×bᵀ kernel to dst rows [i0, i1).
